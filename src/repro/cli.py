@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend: 'thread' overlaps LLM latency "
                             "in-process, 'process' runs CPU-bound pipelines on "
                             "a preforked process pool (default thread)")
-    serve.add_argument("--no-affinity", action="store_true",
-                       help="disable sticky affinity routing for --backend "
-                            "process (jobs spread purely by worker load)")
-    serve.add_argument("--dispatch-batch", type=int, default=8, metavar="N",
-                       help="jobs coalesced into one process-backend dispatch "
-                            "message (default 8; 1 disables batching)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the artifact cache in serve modes")
     serve.add_argument("--limit", type=int, metavar="N",
@@ -160,8 +154,6 @@ def _serve_config(args) -> "ServeConfig":
 
     return ServeConfig(workers=args.workers, backend=args.backend,
                        cache_enabled=not args.no_cache,
-                       affinity=not args.no_affinity,
-                       dispatch_batch=args.dispatch_batch,
                        tracing=bool(args.trace_out),
                        flight=bool(args.flight_dir) or args.obs_port is not None,
                        flight_dir=args.flight_dir,
@@ -371,8 +363,6 @@ def run_live(args, world, registry) -> int:
         pace_s=args.pace_ms / 1000.0,
         workers=args.workers,
         backend=args.backend,
-        affinity=not args.no_affinity,
-        dispatch_batch=args.dispatch_batch,
         cache_enabled=not args.no_cache,
         cache_dir=_effective_cache_dir(args),
         max_epoch_shards=args.max_epoch_shards,

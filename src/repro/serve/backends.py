@@ -1,36 +1,32 @@
 """Pluggable execution backends: where a served job's pipeline actually runs.
 
-The broker's worker threads drain the scheduler either way; the backend
-decides what happens to a claimed job:
+The broker's worker threads drain the scheduler either way; each claims one
+job at a time, and the backend decides what happens to it:
 
 * :class:`ThreadPoolBackend` — run the pipeline in the claiming thread
   against the shard's shared in-process system.  Right when hosted-LLM
-  round-trip latency dominates: threads overlap the waits, artifacts stay
-  in shared memory, and the broker-wide :class:`ArtifactCache` is shared.
+  round-trip latency dominates: threads overlap the waits, artifacts never
+  leave the process, and the broker-wide :class:`ArtifactCache` is shared.
 * :class:`ProcessPoolBackend` — an affinity-aware execution plane over
   explicit preforked worker processes.  Right when generated-code
   execution is CPU-bound: each process escapes the GIL and holds a
-  process-local world/system/artifact cache, and three mechanisms keep
-  the IPC bill from eating the win:
+  process-local world/system/artifact cache.
 
   - **sticky affinity routing** — jobs hash to a (world, query) affinity
     key; the dispatcher remembers which worker served a key and sends
     resubmissions back to its warm caches, with a work-stealing fallback
-    (an idle worker takes over a key whose bound worker is backlogged)
-    so a hot world cannot starve the pool;
-  - **zero-copy transport** — results travel as pickle-protocol-5
-    payloads whose large bodies move through
-    :mod:`multiprocessing.shared_memory` segments instead of queue pipes
-    (see :mod:`repro.serve.transport`), and per-job requests are small
-    deltas against a :class:`JobPayload` template shipped once per
-    worker per shard;
-  - **batched dispatch** — concurrent dispatches to the same worker are
-    coalesced into one queue message, and workers prefork with every
-    already-registered world preloaded so first jobs land on warm state.
+    (an idle worker takes over a key whose bound worker has more than
+    :data:`STEAL_THRESHOLD` jobs) so a hot world cannot starve the pool;
+  - **one job per message** — a worker receives one row per request and
+    answers with one reply per job, a plain pickle over its private reply
+    pipe; per-job requests are small deltas against a :class:`JobPayload`
+    template shipped once per worker per shard, and workers prefork with
+    every already-registered world preloaded so first jobs land on warm
+    state.
 
   A worker process that dies mid-job is respawned by a monitor thread;
-  its in-flight jobs surface as :class:`WorkerCrashed` so the broker can
-  retry them once on a different worker.
+  its in-flight job surfaces as :class:`WorkerCrashed` so the broker can
+  retry it on a different worker.
 
 Both backends produce byte-identical artifacts for the same job: the
 pipeline is deterministic in (query, params, world config, registry), which
@@ -59,7 +55,6 @@ from repro.core.artifacts import PipelineResult
 from repro.core.pipeline import ArachNet
 from repro.core.registry import default_registry
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-from repro.serve import transport
 from repro.serve.cache import ArtifactCache
 from repro.serve.scheduler import WorldShard
 from repro.synth.scenarios import LatencyIncident
@@ -77,6 +72,10 @@ FAULT_PARAM = "_serve_fault"
 
 #: Sticky bindings kept per backend before the oldest are forgotten.
 AFFINITY_MAP_BOUND = 65536
+
+#: Jobs queued on a key's bound worker beyond which an idle worker steals
+#: the job (and the binding) instead of letting it wait.
+STEAL_THRESHOLD = 2
 
 
 class BackendError(RuntimeError):
@@ -286,7 +285,7 @@ def _decode_exception(message: tuple) -> Exception:
     return BackendError(f"{type_name}: {text}")
 
 
-def _run_one(index, templates, row, shm_min_bytes) -> tuple:
+def _run_one(index, templates, row) -> tuple:
     job_id, shard_key, query, params = row[:4]
     trace = row[4] if len(row) > 4 else None
     try:
@@ -303,14 +302,14 @@ def _run_one(index, templates, row, shm_min_bytes) -> tuple:
         payload = dataclasses.replace(template, query=query, params=params,
                                       trace=trace)
         result, meta = _process_execute(payload, worker_index=index)
-        return (job_id, True, transport.encode(result, shm_min_bytes), meta)
+        return ("done", index, job_id, True, result, meta)
     except Exception as exc:  # shipped back and re-raised broker-side
-        return (job_id, False, _encode_exception(exc), None)
+        return ("done", index, job_id, False, _encode_exception(exc), None)
 
 
-def _worker_main(index: int, requests, replies, shm_min_bytes: int,
+def _worker_main(index: int, requests, replies,
                  close_fds: tuple[int, ...] = ()) -> None:
-    """One worker process: drain batches, run pipelines, reply per batch.
+    """One worker process: take one job per request, reply once per job.
 
     ``replies`` is this worker's *own* pipe connection — workers never
     share a reply channel, so a worker SIGKILLed mid-write cannot poison
@@ -350,10 +349,16 @@ def _worker_main(index: int, requests, replies, shm_min_bytes: int,
             if template is not None:
                 _WORKER_SYSTEMS.pop(_system_key(template), None)
             continue
-        _, new_templates, rows = message  # ("batch", {shard: template}, rows)
+        _, new_templates, row = message  # ("run", {shard: template}, row)
         templates.update(new_templates)
-        out = [_run_one(index, templates, row, shm_min_bytes) for row in rows]
-        replies.send(("done", index, out))
+        reply = _run_one(index, templates, row)
+        try:
+            replies.send(reply)
+        except OSError:  # broker side vanished
+            return
+        except Exception as exc:  # an unpicklable result fails its job only
+            replies.send(("done", index, row[0], False,
+                          _encode_exception(exc), None))
 
 
 # -- broker side --------------------------------------------------------------
@@ -371,9 +376,6 @@ class ExecutionBackend:
     """
 
     name = "base"
-    #: Backends that overlap many jobs per claiming thread opt into the
-    #: broker's batched claim path (``run_many`` with several items).
-    supports_batch = False
     #: The broker rebinds these to its own tracer/registry at construction;
     #: the class defaults keep a standalone backend fully functional.
     tracer = NULL_TRACER
@@ -405,26 +407,6 @@ class ExecutionBackend:
     ) -> PipelineResult:
         raise NotImplementedError
 
-    def run_many(
-        self, items: list[tuple], excluded_workers: tuple[int, ...] = ()
-    ) -> list:
-        """Run ``(shard, query, params, observer[, trace])`` items; one
-        outcome per item, a :class:`PipelineResult` or the exception it
-        raised.  The optional fifth element is the dispatch-span
-        :class:`~repro.obs.TraceContext` to parent execution spans under."""
-        outcomes = []
-        for item in items:
-            shard, query, params, observer = item[:4]
-            trace = item[4] if len(item) > 4 else None
-            try:
-                outcomes.append(
-                    self.run(shard, query, params, observer=observer,
-                             excluded_workers=excluded_workers, trace=trace)
-                )
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
     def stats(self) -> dict:
         return {"backend": self.name}
 
@@ -455,6 +437,10 @@ class _WorkerSlot:
     bindings and template-shipping state tied to the old process.  Each
     generation gets a fresh request queue and a fresh *private* reply
     pipe (``reply_r`` broker-side, ``reply_w`` shipped to the process).
+
+    A slot runs one job at a time: rows routed to it wait in ``pending``
+    (which survives a respawn) until ``inflight`` is empty, so a job's
+    deadline never counts time spent behind a sibling on the same slot.
     """
 
     __slots__ = ("index", "generation", "process", "request_q",
@@ -469,8 +455,8 @@ class _WorkerSlot:
         self.reply_w = None
         self.templates_sent: set[str] = set()
         self.pending: deque = deque()  # (job_id, shard_key, query, params, trace)
-        #: job_id -> monotonic dispatch timestamp; the monitor's deadline
-        #: sweep reads the timestamps, everything else treats it as a set.
+        #: The running job: job_id -> monotonic time it reached the
+        #: worker.  At most one entry; the deadline sweep reads the time.
         self.inflight: dict[int, float] = {}
 
     def depth(self) -> int:
@@ -478,16 +464,15 @@ class _WorkerSlot:
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Affinity-aware zero-copy execution plane over preforked processes.
+    """Affinity-aware execution plane over preforked processes.
 
     Explicit worker processes (not a :class:`multiprocessing.Pool`): each
     affinity slot owns a request queue, so the dispatcher controls *which*
     process a job lands on — the whole point of sticky routing.  A sender
-    thread coalesces concurrent dispatches per slot into batched messages,
-    a collector thread multiplexes every worker's *private* reply pipe
-    (decoding shared-memory payloads, see :mod:`repro.serve.transport`),
-    and a monitor thread respawns dead workers and fails their in-flight
-    jobs with :class:`WorkerCrashed` so the broker can retry them
+    thread hands each idle slot its next pending row, a collector thread
+    multiplexes every worker's *private* reply pipe (one pickled reply per
+    job), and a monitor thread respawns dead workers and fails their
+    in-flight job with :class:`WorkerCrashed` so the broker can retry it
     elsewhere.
 
     Replies deliberately do not share a queue: a shared
@@ -501,7 +486,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process"
-    supports_batch = True
 
     def __init__(
         self,
@@ -509,26 +493,14 @@ class ProcessPoolBackend(ExecutionBackend):
         llm_factory=None,
         cache_entries: int = 4096,
         start_method: str | None = None,
-        affinity: bool = True,
-        steal_threshold: int = 2,
-        dispatch_batch: int = 8,
-        shm_min_bytes: int = transport.DEFAULT_SHM_MIN_BYTES,
         job_timeout_s: float | None = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if dispatch_batch < 1:
-            raise ValueError("dispatch_batch must be >= 1")
-        if steal_threshold < 0:
-            raise ValueError("steal_threshold must be >= 0")
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ValueError("job_timeout_s must be positive (or None)")
         self.job_timeout_s = job_timeout_s
         self.num_workers = num_workers
-        self.affinity_enabled = affinity
-        self.steal_threshold = steal_threshold
-        self.dispatch_batch = dispatch_batch
-        self.shm_min_bytes = shm_min_bytes
         self._llm_factory = llm_factory
         self._cache_entries = cache_entries
         self._start_method = start_method
@@ -540,7 +512,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._futures: dict[int, Future] = {}
         self._job_ids = itertools.count(1)
         #: Reply pipes of dead worker generations, drained to EOF by the
-        #: collector so raced-in results are released, never leaked.
+        #: collector so raced-in replies are consumed and the fds closed.
         self._retired_pipes: list = []
         self._wake_r = None
         self._wake_w = None
@@ -553,8 +525,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._proc_cache_stats: dict[int, dict] = {}
         self._counts = {
             "hits": 0, "misses": 0, "steals": 0, "respawns": 0,
-            "batches": 0, "dispatched": 0,
-            "shm_results": 0, "shm_bytes": 0, "inline_results": 0,
             "deadline_kills": 0,
         }
 
@@ -604,7 +574,7 @@ class ProcessPoolBackend(ExecutionBackend):
         start).  Dispatch keeps working immediately: rows queued against the
         new request queue wait in its pipe until the process comes up.  The
         old generation's reply pipe is retired, not dropped — the collector
-        drains it to EOF so results that raced the death are released."""
+        drains it to EOF so replies that raced the death are consumed."""
         slot.request_q = self._ctx.SimpleQueue()
         if slot.reply_r is not None:
             self._retired_pipes.append(slot.reply_r)
@@ -624,8 +594,7 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.index, slot.request_q, slot.reply_w, self.shm_min_bytes,
-                  close_fds),
+            args=(slot.index, slot.request_q, slot.reply_w, close_fds),
             name=f"arachnet-worker-{slot.index}",
             daemon=True,
         )
@@ -705,38 +674,36 @@ class ProcessPoolBackend(ExecutionBackend):
                       params: dict | None) -> str:
         return affinity_key(shard, query, params)
 
-    def _choose_slot(self, key: str | None, shard_key: str,
+    def _choose_slot(self, key: str, shard_key: str,
                      excluded: tuple[int, ...]) -> _WorkerSlot:
         """Sticky slot for ``key``, stolen by an idle slot when the bound
         one is backlogged; least-loaded assignment on first sight."""
         eligible = [s for s in self._slots if s.index not in excluded]
         if not eligible:  # excluding every slot would deadlock the retry
             eligible = self._slots
-        if key is not None:
-            bound = self._affinity.get(key)
-            if bound is not None:
-                index, generation, _ = bound
-                slot = self._slots[index]
-                if slot.generation == generation and index not in excluded:
-                    idle = [s for s in eligible
-                            if s.index != index and s.depth() == 0]
-                    if slot.depth() > self.steal_threshold and idle:
-                        thief = idle[0]
-                        self._counts["steals"] += 1
-                        self._affinity[key] = (thief.index, thief.generation,
-                                               shard_key)
-                        self._affinity.move_to_end(key)
-                        return thief
-                    self._counts["hits"] += 1
+        bound = self._affinity.get(key)
+        if bound is not None:
+            index, generation, _ = bound
+            slot = self._slots[index]
+            if slot.generation == generation and index not in excluded:
+                idle = [s for s in eligible
+                        if s.index != index and s.depth() == 0]
+                if slot.depth() > STEAL_THRESHOLD and idle:
+                    thief = idle[0]
+                    self._counts["steals"] += 1
+                    self._affinity[key] = (thief.index, thief.generation,
+                                           shard_key)
                     self._affinity.move_to_end(key)
-                    return slot
+                    return thief
+                self._counts["hits"] += 1
+                self._affinity.move_to_end(key)
+                return slot
         self._counts["misses"] += 1
         slot = min(eligible, key=lambda s: (s.depth(), s.index))
-        if key is not None:
-            self._affinity[key] = (slot.index, slot.generation, shard_key)
-            self._affinity.move_to_end(key)
-            while len(self._affinity) > AFFINITY_MAP_BOUND:
-                self._affinity.popitem(last=False)
+        self._affinity[key] = (slot.index, slot.generation, shard_key)
+        self._affinity.move_to_end(key)
+        while len(self._affinity) > AFFINITY_MAP_BOUND:
+            self._affinity.popitem(last=False)
         return slot
 
     def _dispatch(self, shard: WorldShard, query: str, params: dict | None,
@@ -745,17 +712,13 @@ class ProcessPoolBackend(ExecutionBackend):
             raise BackendError("process backend is not started")
         if shard.key not in self._templates:
             self._templates[shard.key] = self._template_for(shard)
-        key = (
-            self._affinity_key(shard, query, params)
-            if self.affinity_enabled else None
-        )
+        key = self._affinity_key(shard, query, params)
         future = Future()
         with self._lock:
             slot = self._choose_slot(key, shard.key, excluded)
             job_id = next(self._job_ids)
             self._futures[job_id] = future
             slot.pending.append((job_id, shard.key, query, params, trace))
-            self._counts["dispatched"] += 1
             self._work.notify_all()
         return future
 
@@ -773,28 +736,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._replay(result, observer)
         return result
 
-    def run_many(
-        self, items: list[tuple], excluded_workers: tuple[int, ...] = ()
-    ) -> list:
-        """Dispatch the whole batch before waiting on any of it — one
-        claiming thread keeps every worker process busy, and same-slot
-        items coalesce into single queue messages."""
-        futures = [
-            self._dispatch(item[0], item[1], item[2], excluded_workers,
-                           trace=(item[4] if len(item) > 4 else None))
-            for item in items
-        ]
-        outcomes = []
-        for future, item in zip(futures, items):
-            observer = item[3]
-            try:
-                result = future.result()
-                self._replay(result, observer)
-                outcomes.append(result)
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
     @staticmethod
     def _replay(result: PipelineResult, observer) -> None:
         if observer is not None:
@@ -807,34 +748,36 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- plane threads -----------------------------------------------------
 
     def _sender_loop(self) -> None:
+        """Give every idle slot its next pending row, one row per message.
+
+        A slot with a job in flight gets nothing more until that job's
+        reply (or the slot's respawn) empties ``inflight``, so a job's
+        deadline clock starts when the job itself reaches the worker."""
         while True:
             sends = []
             with self._work:
                 while not self._stop.is_set() and not any(
-                    slot.pending for slot in self._slots
+                    slot.pending and not slot.inflight for slot in self._slots
                 ):
                     self._work.wait(0.1)
                 if self._stop.is_set():
                     return
+                now = time.monotonic()
                 for slot in self._slots:
-                    if not slot.pending:
+                    if not slot.pending or slot.inflight:
                         continue
-                    rows = [
-                        slot.pending.popleft()
-                        for _ in range(min(len(slot.pending), self.dispatch_batch))
-                    ]
-                    needed = {row[1] for row in rows} - slot.templates_sent
-                    templates = {k: self._templates[k] for k in needed
-                                 if k in self._templates}
+                    row = slot.pending.popleft()
+                    shard_key = row[1]
+                    templates = {}
                     # Record only what actually ships: a template missing
                     # here (shard forgotten mid-dispatch) must not poison
                     # the slot for a later re-registration of the shard.
-                    slot.templates_sent |= set(templates)
-                    now = time.monotonic()
-                    for row in rows:
-                        slot.inflight[row[0]] = now
-                    self._counts["batches"] += 1
-                    sends.append((slot.request_q, ("batch", templates, rows)))
+                    if (shard_key not in slot.templates_sent
+                            and shard_key in self._templates):
+                        templates[shard_key] = self._templates[shard_key]
+                        slot.templates_sent.add(shard_key)
+                    slot.inflight[row[0]] = now
+                    sends.append((slot.request_q, ("run", templates, row)))
             for queue, message in sends:
                 queue.put(message)
 
@@ -849,10 +792,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
         A reader per writer means no cross-process reply lock exists to be
         poisoned by a SIGKILL; a worker that dies mid-write surfaces as
-        EOF (its fd has no other holders) and its in-flight jobs are the
+        EOF (its fd has no other holders) and its in-flight job is the
         monitor's to fail.  Retired pipes — prior generations of respawned
-        slots — are drained to EOF so results that raced the death are
-        released rather than leaking their shared-memory segments.
+        slots — are drained to EOF so replies that raced the death are
+        consumed and the pipe closed.
         """
         while True:
             with self._lock:
@@ -926,85 +869,65 @@ class ProcessPoolBackend(ExecutionBackend):
             self._handle_reply(message)
 
     def _handle_reply(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "preloaded":
+        if message[0] == "preloaded":
             with self._lock:
                 self._proc_cache_stats.setdefault(message[2], None)
             return
-        _, index, rows = message  # ("done", slot index, result rows)
-        slot = self._slots[index]
-        for job_id, ok, blob, meta in rows:
-            if meta is not None and self.flight is not None:
+        _, index, job_id, ok, outcome, meta = message
+        if meta is not None:
+            if self.flight is not None:
                 # Reply metadata doubles as the worker's liveness signal.
                 self.flight.heartbeat(f"worker-{index}", pid=meta["pid"])
+            # Absorb worker-side observability before the future resolves,
+            # so a caller that wakes on the result already sees its spans.
+            spans = meta.get("spans")
+            if spans:
+                self.tracer.ingest(spans)
+            deltas = meta.get("metrics")
+            if deltas and self.metrics is not None:
+                self.metrics.absorb(deltas)
+        with self._lock:
+            future = self._futures.pop(job_id, None)
+            if future is not None:
+                # A job already failed by the deadline sweep keeps its slot
+                # busy until the kill it ordered respawns the worker.
+                self._slots[index].inflight.pop(job_id, None)
+                self._work.notify_all()
             if meta is not None:
-                # Absorb worker-side observability before the future resolves,
-                # so a caller that wakes on the result already sees its spans.
-                spans = meta.get("spans")
-                if spans:
-                    self.tracer.ingest(spans)
-                deltas = meta.get("metrics")
-                if deltas and self.metrics is not None:
-                    self.metrics.absorb(deltas)
-            with self._lock:
-                slot.inflight.pop(job_id, None)
-                future = self._futures.pop(job_id, None)
-                if meta is not None:
-                    self._proc_cache_stats[meta["pid"]] = meta["cache"]
-                if ok:
-                    if blob[0] == "shm":
-                        self._counts["shm_results"] += 1
-                        self._counts["shm_bytes"] += (
-                            blob[2] + sum(blob[3])
-                        )
-                    else:
-                        self._counts["inline_results"] += 1
-            if future is None:
-                if ok:  # nobody will decode it; reclaim the segment
-                    transport.release(blob)
-                continue
-            if ok:
-                try:
-                    future.set_result(transport.decode(blob))
-                except Exception as exc:  # pragma: no cover - defensive
-                    future.set_exception(BackendError(
-                        f"failed to decode worker result: {exc}"
-                    ))
-            else:
-                future.set_exception(_decode_exception(blob))
+                self._proc_cache_stats[meta["pid"]] = meta["cache"]
+        if future is None:
+            return
+        if ok:
+            future.set_result(outcome)
+        else:
+            future.set_exception(_decode_exception(outcome))
 
     def _enforce_deadlines(self) -> None:
         """The monitor plane's per-job deadline sweep.
 
-        A job older than ``job_timeout_s`` on a worker has its future
-        failed with :class:`JobDeadlineExceeded` and its worker process
-        killed — preforked workers run arbitrary generated code, so the
-        only reliable preemption is taking the process down and letting
-        the respawn path rebuild the slot.  Sibling in-flight jobs on the
-        same worker die as ordinary :class:`WorkerCrashed` retries.
+        A job running longer than ``job_timeout_s`` has its future failed
+        with :class:`JobDeadlineExceeded` and its worker process killed —
+        preforked workers run arbitrary generated code, so the only
+        reliable preemption is taking the process down and letting the
+        respawn path rebuild the slot.  Rows still pending on the slot
+        survive the respawn and run on the replacement.
         """
         now = time.monotonic()
-        victims: list[tuple[_WorkerSlot, list[int]]] = []
+        victims = []
         with self._lock:
             for slot in self._slots:
-                if slot.process is None or not slot.inflight:
-                    continue
-                overdue = [job_id for job_id, sent in slot.inflight.items()
-                           if now - sent > self.job_timeout_s]
-                if overdue:
-                    victims.append((slot, overdue))
-        for slot, overdue in victims:
-            futures = []
-            with self._lock:
                 if slot.process is None or not slot.process.is_alive():
                     continue  # already died; the sentinel path owns cleanup
-                for job_id in overdue:
-                    future = self._futures.pop(job_id, None)
-                    slot.inflight.pop(job_id, None)
-                    if future is not None:
-                        futures.append(future)
-                self._counts["deadline_kills"] += 1
-                process = slot.process
+                futures = [
+                    self._futures.pop(job_id)
+                    for job_id, sent in slot.inflight.items()
+                    if now - sent > self.job_timeout_s
+                    and job_id in self._futures
+                ]
+                if futures:
+                    self._counts["deadline_kills"] += 1
+                    victims.append((slot, slot.process, futures))
+        for slot, process, futures in victims:
             for future in futures:
                 future.set_exception(
                     JobDeadlineExceeded(slot.index, self.job_timeout_s))
@@ -1043,8 +966,9 @@ class ProcessPoolBackend(ExecutionBackend):
                         continue
                     if slot.process.is_alive():  # pragma: no cover - raced
                         continue
-                    # In-flight jobs died with the process; pending (unsent)
-                    # rows survive in the slot and reach the replacement.
+                    # The in-flight job died with the process; pending
+                    # (unsent) rows survive in the slot and reach the
+                    # replacement.
                     for job_id in sorted(slot.inflight):
                         future = self._futures.pop(job_id, None)
                         if future is not None:
@@ -1079,8 +1003,8 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Affinity economics, dispatch batching, transport mix, and
-        aggregated per-process artifact-cache stats (last seen per pid)."""
+        """Affinity economics, deadline kills, and aggregated per-process
+        artifact-cache stats (last seen per pid)."""
         with self._lock:
             counts = dict(self._counts)
             snapshots = [s for s in self._proc_cache_stats.values() if s]
@@ -1103,24 +1027,12 @@ class ProcessPoolBackend(ExecutionBackend):
             "processes": processes,
             "cache": merged,
             "affinity": {
-                "enabled": self.affinity_enabled,
                 "hits": counts["hits"],
                 "misses": counts["misses"],
                 "steals": counts["steals"],
                 "hit_rate": counts["hits"] / routed if routed else 0.0,
                 "bindings": bindings,
                 "respawns": counts["respawns"],
-            },
-            "dispatch": {
-                "jobs": counts["dispatched"],
-                "batches": counts["batches"],
-                "mean_batch": (
-                    counts["dispatched"] / counts["batches"]
-                    if counts["batches"] else 0.0
-                ),
-                "shm_results": counts["shm_results"],
-                "shm_bytes": counts["shm_bytes"],
-                "inline_results": counts["inline_results"],
             },
             "deadline": {
                 "timeout_s": self.job_timeout_s,
@@ -1170,10 +1082,6 @@ def build_backend(
     num_workers: int = 4,
     llm_factory=None,
     cache_entries: int = 4096,
-    affinity: bool = True,
-    steal_threshold: int = 2,
-    dispatch_batch: int = 8,
-    shm_min_bytes: int = transport.DEFAULT_SHM_MIN_BYTES,
     job_timeout_s: float | None = None,
 ) -> ExecutionBackend:
     """Backend factory for :class:`ServeConfig.backend` names.
@@ -1188,10 +1096,6 @@ def build_backend(
             num_workers=num_workers,
             llm_factory=llm_factory,
             cache_entries=cache_entries,
-            affinity=affinity,
-            steal_threshold=steal_threshold,
-            dispatch_batch=dispatch_batch,
-            shm_min_bytes=shm_min_bytes,
             job_timeout_s=job_timeout_s,
         )
     raise BackendError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")

@@ -1,8 +1,5 @@
-"""The affinity-aware zero-copy execution plane: transport lifecycle,
-sticky routing under steal, crash retry, and epoch-shard retention."""
-
-import os
-import time
+"""The affinity-aware process execution plane: sticky routing under
+steal, crash retry, and epoch-shard retention."""
 
 import pytest
 
@@ -16,7 +13,7 @@ from repro.serve import (
     ServeConfig,
     WorldShard,
 )
-from repro.serve import transport
+from repro.serve import backends
 from repro.serve.backends import FAULT_PARAM
 from repro.synth.world import WorldConfig, build_world
 
@@ -26,71 +23,6 @@ QUERY = "Identify the impact at a country level due to {} cable failure"
 @pytest.fixture(scope="module")
 def world():
     return build_world(WorldConfig())
-
-
-def _leaked_segments():
-    try:
-        return [f for f in os.listdir("/dev/shm")
-                if f.startswith(f"{transport.SEGMENT_PREFIX}-")]
-    except FileNotFoundError:  # non-Linux: lifecycle covered by decode tests
-        return []
-
-
-# -- transport ---------------------------------------------------------------
-
-
-def test_transport_inline_roundtrip():
-    obj = {"rows": list(range(50)), "blob": b"x" * 64}
-    message = transport.encode(obj, shm_min_bytes=1 << 20)
-    assert message[0] == "inline"
-    assert transport.decode(message) == obj
-
-
-def test_transport_shm_roundtrip_large_artifact():
-    """A large artifact (out-of-band bytearray buffer) moves through one
-    shared-memory segment and the decode consumes — unlinks — it."""
-    obj = {"kind": "artifact", "payload": bytearray(b"\xab" * 300_000)}
-    message = transport.encode(obj, shm_min_bytes=0)  # force the shm path
-    assert message[0] == "shm"
-    assert not _leaked_segments() or message[1] in _leaked_segments()
-    out = transport.decode(message)
-    assert out == obj
-    assert message[1] not in _leaked_segments()
-    # Double-decode must fail loudly, not resurrect freed memory.
-    with pytest.raises(Exception):
-        transport.decode(message)
-
-
-def test_transport_release_unlinks_undecoded_segment():
-    message = transport.encode({"x": bytes(200_000)}, shm_min_bytes=0)
-    assert message[0] == "shm"
-    transport.release(message)
-    assert message[1] not in _leaked_segments()
-    transport.release(message)  # idempotent
-
-
-# -- end-to-end shared-memory lifecycle --------------------------------------
-
-
-def test_campaign_over_shm_leaves_no_segments(world):
-    """Every result forced through shared memory: byte-identical outcomes,
-    zero segments left after the campaign and after shutdown."""
-    queries = [QUERY.format(name) for name in world.cable_names()[:3]]
-    broker = QueryBroker(
-        world,
-        config=ServeConfig(workers=2, backend="process", shm_min_bytes=1),
-    ).start()
-    try:
-        tickets = [broker.submit(q) for q in queries]
-        results = [broker.result(t, timeout=120) for t in tickets]
-        assert all(r.execution.succeeded for r in results)
-        stats = broker.stats()["backend"]
-        assert stats["dispatch"]["shm_results"] == len(queries)
-        assert stats["dispatch"]["inline_results"] == 0
-        assert _leaked_segments() == []
-    finally:
-        broker.shutdown()
-    assert _leaked_segments() == []
 
 
 # -- affinity routing --------------------------------------------------------
@@ -118,27 +50,12 @@ def test_affinity_resubmission_sticks_and_hits_warm_cache(world):
         broker.shutdown()
 
 
-def test_affinity_disabled_never_binds(world):
-    broker = QueryBroker(
-        world,
-        config=ServeConfig(workers=1, backend="process", affinity=False),
-    ).start()
-    try:
-        query = QUERY.format(world.cable_names()[0])
-        broker.result(broker.submit(query), timeout=120)
-        broker.result(broker.submit(query), timeout=120)
-        affinity = broker.stats()["backend"]["affinity"]
-        assert not affinity["enabled"]
-        assert affinity["hits"] == 0 and affinity["bindings"] == 0
-    finally:
-        broker.shutdown()
-
-
-def test_steal_rebinds_hot_key_to_idle_worker(world):
+def test_steal_rebinds_hot_key_to_idle_worker(world, monkeypatch):
     """A key bound to a backlogged worker is stolen by an idle one, and the
-    binding (the future warm path) moves with it."""
-    backend = ProcessPoolBackend(num_workers=2, steal_threshold=0,
-                                 cache_entries=64)
+    binding (the future warm path) moves with it.  A threshold of 0 makes
+    one busy job enough of a backlog."""
+    monkeypatch.setattr(backends, "STEAL_THRESHOLD", 0)
+    backend = ProcessPoolBackend(num_workers=2, cache_entries=64)
     shard = WorldShard.build("w", world)
     backend.prepare(shard)
     backend.start()

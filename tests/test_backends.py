@@ -2,6 +2,7 @@
 
 import functools
 import json
+import time
 
 import pytest
 
@@ -10,16 +11,22 @@ from repro.serve import (
     BackendError,
     CampaignJob,
     JobPayload,
+    JobState,
     ProcessPoolBackend,
     QueryBroker,
     ServeConfig,
     ThreadPoolBackend,
+    WorldShard,
     build_backend,
     run_campaign,
 )
-from repro.serve.backends import _process_execute, _worker_system
+from repro.live.forensics import FORENSIC_PRIORITY
+from repro.serve.backends import FAULT_PARAM, _process_execute, _worker_system
 from repro.synth.scenarios import make_latency_incident
 from repro.synth.world import WorldConfig, build_world
+
+
+QUERY = "Identify the impact at a country level due to {} cable failure"
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +209,75 @@ def test_backend_shutdown_is_idempotent(campaign_world):
     ).start()
     broker.shutdown()
     broker.shutdown()  # second shutdown must be a no-op
+
+
+def _sleep(seconds: float) -> dict:
+    return {FAULT_PARAM: {"sleep_s": seconds}}
+
+
+def test_job_deadline_counts_only_the_jobs_own_run(campaign_world):
+    """Two 1.0 s jobs on one worker both beat a 1.5 s deadline: each
+    deadline starts when that job reaches the worker, never when a job
+    queued ahead of it did.  The 0.3 s job in front holds the claimer so
+    the two slow jobs are queued together behind it."""
+    query = QUERY.format(campaign_world.cable_names()[0])
+    broker = QueryBroker(
+        campaign_world,
+        config=ServeConfig(workers=1, backend="process", max_retries=0,
+                           job_timeout_s=1.5),
+    ).start()
+    try:
+        tickets = [broker.submit(query, params=_sleep(s))
+                   for s in (0.3, 1.0, 1.0)]
+        finished = broker.wait_all(tickets, timeout=120)
+        assert [job.state for job in finished] == [JobState.DONE] * 3, [
+            (job.ticket, job.state.value, job.error) for job in finished
+        ]
+        assert broker.stats()["backend"]["deadline"]["kills"] == 0
+    finally:
+        broker.shutdown()
+
+
+def test_deadline_ignores_time_stacked_behind_a_sibling(campaign_world):
+    """Affinity can stack two jobs on one worker slot; the second one's
+    deadline must not count the time it waited behind the first."""
+    shard = WorldShard.build("w", campaign_world)
+    backend = ProcessPoolBackend(num_workers=1, job_timeout_s=1.5)
+    backend.prepare(shard)
+    backend.start()
+    try:
+        query = QUERY.format(campaign_world.cable_names()[0])
+        assert backend.run(shard, query, None).execution.succeeded  # warm
+        futures = [backend._dispatch(shard, query, _sleep(1.0))
+                   for _ in range(2)]
+        assert all(f.result(timeout=120).execution.succeeded for f in futures)
+        assert backend.stats()["deadline"]["kills"] == 0
+    finally:
+        backend.shutdown()
+
+
+def test_high_priority_job_overtakes_queued_work(campaign_world):
+    """A forensic-priority job submitted behind six queued priority-0 jobs
+    on a one-worker process broker runs next, not after all of them: a
+    claimer holds one job at a time, so the rest stay in the scheduler
+    where priority still orders them."""
+    query = QUERY.format(campaign_world.cable_names()[0])
+    broker = QueryBroker(
+        campaign_world, config=ServeConfig(workers=1, backend="process")
+    )
+    low = [broker.submit(query, params=_sleep(0.3)) for _ in range(6)]
+    broker.start()
+    try:
+        deadline = time.time() + 60
+        while broker.status(low[0]) is JobState.QUEUED:
+            assert time.time() < deadline, "the first job was never claimed"
+            time.sleep(0.01)
+        high = broker.submit(query, priority=FORENSIC_PRIORITY)
+        finished = broker.wait_all(low + [high], timeout=120)
+        assert all(job.state is JobState.DONE for job in finished)
+        high_done = broker.ledger.get(high).finished_at
+        overtaken = [t for t in low
+                     if broker.ledger.get(t).finished_at > high_done]
+        assert len(overtaken) >= 3, overtaken
+    finally:
+        broker.shutdown()

@@ -327,6 +327,32 @@ def test_unfinished_submissions_resume_on_start(world, tmp_path):
         broker.shutdown()
 
 
+def test_twin_submitted_while_completion_journals_joins_it(world, tmp_path,
+                                                           monkeypatch):
+    """A twin submitted after the completion record is written but before
+    the broker publishes it must join the finished run, never execute
+    the job a second time."""
+    broker = QueryBroker(world, config=ServeConfig(
+        workers=1, journal_dir=str(tmp_path / "wal"))).start()
+    try:
+        twins = []
+        append = broker.journal.append
+
+        def append_then_submit_twin(kind, payload, **kwargs):
+            record = append(kind, payload, **kwargs)
+            if kind == "complete" and not twins:
+                twins.append(broker.submit(CS1))
+            return record
+
+        monkeypatch.setattr(broker.journal, "append", append_then_submit_twin)
+        ticket = broker.submit(CS1)
+        assert broker.wait(ticket, timeout=120).state is JobState.DONE
+        assert twins == [ticket]
+        assert broker.stats()["submitted"] == 1
+    finally:
+        broker.shutdown()
+
+
 def test_failed_completion_reruns_fresh(world, tmp_path):
     wal = str(tmp_path / "wal")
     config = ServeConfig(workers=1, journal_dir=wal)

